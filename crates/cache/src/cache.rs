@@ -6,8 +6,10 @@
 //!
 //! Both caches key on *canonical* strings produced by
 //! [`lqo_engine::SpjQuery::canonical_key`], which are order-insensitive
-//! and alias-free — the same logical sub-query always maps to the same
-//! key, and two different sub-queries never share one. Raw `TableSet`
+//! — the same logical sub-query always maps to the same key, and two
+//! different sub-queries never share one. Plan and residual keys also
+//! carry the FROM-list order ([`plan_key`], [`residual_key`]): their
+//! entries name tables by position. Raw `TableSet`
 //! bitmasks are **never** used as cross-query keys (table positions are
 //! not stable across queries); the per-optimization
 //! [`crate::OptMemo`] is the only place set bits are used, and it lives
@@ -632,39 +634,54 @@ impl LqoCache {
 }
 
 /// The plan-cache key of one (query, hints, estimator) combination:
-/// canonical query form, the hint label, and the estimator name. Two
-/// queries share a key exactly when the native optimizer is guaranteed
-/// to see identical inputs for both.
+/// canonical query form, the FROM-list order, the hint label, and the
+/// estimator name. Two queries share a key exactly when the native
+/// optimizer is guaranteed to see identical inputs for both.
 pub fn plan_key(query: &lqo_engine::SpjQuery, hints_label: &str, source: &str) -> String {
-    format!(
-        "{}|hints={}|card={}",
-        query.canonical_key(query.all_tables()),
-        hints_label,
-        source
-    )
+    use std::fmt::Write;
+    let mut key = ordered_query_key(query);
+    let _ = write!(key, "|hints={hints_label}|card={source}");
+    key
 }
 
 /// The residual-cache key of one mid-query re-optimization decision
-/// point: canonical query form plus a descriptor of every residual leaf
-/// *in leaf order* — its table-set bits and a log2 bucket of its row
-/// count — plus the calibrated source's name. Two checkpoints share a
-/// key exactly when the residual enumerator is guaranteed to see
-/// equivalent inputs (same logical query, same leaf partition, row
-/// counts within a 2× bucket of each other, same estimator stack), which
-/// also makes the cached plan's leaf indices directly reusable.
+/// point: canonical query form and FROM-list order, plus a descriptor of
+/// every residual leaf *in leaf order* — its table-set bits and a log2
+/// bucket of its row count — plus the calibrated source's name. Two
+/// checkpoints share a key exactly when the residual enumerator is
+/// guaranteed to see equivalent inputs (same logical query, same leaf
+/// partition, row counts within a 2× bucket of each other, same
+/// estimator stack), which also makes the cached plan's leaf indices
+/// directly reusable.
 pub fn residual_key(
     query: &lqo_engine::SpjQuery,
     leaves: &[lqo_engine::ResidualLeaf],
     source: &str,
 ) -> String {
     use std::fmt::Write;
-    let mut key = query.canonical_key(query.all_tables());
+    let mut key = ordered_query_key(query);
     for leaf in leaves {
         let bucket = leaf.rows.max(1.0).log2().floor() as i64;
         let tag = if leaf.materialized { 'm' } else { 's' };
         let _ = write!(key, "|{}:{:x}@{}", tag, leaf.set.0, bucket);
     }
     let _ = write!(key, "|card={source}");
+    key
+}
+
+/// The canonical form of the whole query followed by its FROM-list
+/// aliases in order. The canonical form ignores that order, but cached
+/// plans name tables by position, so a plan is reusable only by a query
+/// that lists its tables in the same order.
+fn ordered_query_key(query: &lqo_engine::SpjQuery) -> String {
+    let mut key = query.canonical_key(query.all_tables());
+    key.push_str("|from=");
+    for (i, t) in query.tables.iter().enumerate() {
+        if i > 0 {
+            key.push(',');
+        }
+        key.push_str(&t.alias);
+    }
     key
 }
 

@@ -7,31 +7,23 @@ use std::collections::HashMap;
 use lqo_engine::query::expr::CmpOp;
 use lqo_engine::{Catalog, CatalogStats, SpjQuery, TableSet, Value};
 
-/// Featurizes `(query, subset)` pairs against a fixed schema.
+/// Featurizes `(query, subset)` pairs against a fixed schema. Tables,
+/// columns and join slots resolve by lookup on the query's own names, so
+/// featurizing allocates no strings.
 pub struct Featurizer {
-    tables: Vec<String>,
     table_idx: HashMap<String, usize>,
-    /// `(table, column)` in a stable order.
-    columns: Vec<(String, String)>,
-    col_idx: HashMap<(String, String), usize>,
-    /// `(min, max)` of each column's numeric view.
+    /// Per table: column name → global column id (schema order, tables
+    /// in catalog order).
+    col_idx: Vec<HashMap<String, usize>>,
+    /// `(min, max)` of each column's numeric view, by global column id.
     col_range: Vec<(f64, f64)>,
-    /// Canonical join-slot strings (from schema FKs), plus one overflow.
-    join_slots: Vec<String>,
-    join_idx: HashMap<String, usize>,
+    /// Join slot of each FK edge, keyed by its two global column ids in
+    /// ascending order.
+    join_idx: HashMap<(usize, usize), usize>,
+    /// Distinct FK edges; the overflow slot follows them.
+    num_join_slots: usize,
     /// log(nrows+1) per table, for the MSCN table features.
     log_rows: Vec<f64>,
-}
-
-/// Canonical form of a join between two physical columns.
-fn join_key(t1: &str, c1: &str, t2: &str, c2: &str) -> String {
-    let a = format!("{t1}.{c1}");
-    let b = format!("{t2}.{c2}");
-    if a <= b {
-        format!("{a}={b}")
-    } else {
-        format!("{b}={a}")
-    }
 }
 
 impl Featurizer {
@@ -39,56 +31,82 @@ impl Featurizer {
     /// the declared foreign keys (the workload generators only join along
     /// FK edges, as JOB and STATS-CEB do).
     pub fn new(catalog: &Catalog, stats: &CatalogStats) -> Featurizer {
-        let mut tables = Vec::new();
         let mut table_idx = HashMap::new();
-        let mut columns = Vec::new();
-        let mut col_idx = HashMap::new();
+        let mut col_idx = Vec::new();
         let mut col_range = Vec::new();
         let mut log_rows = Vec::new();
         for t in catalog.tables() {
-            table_idx.insert(t.name().to_string(), tables.len());
-            tables.push(t.name().to_string());
+            table_idx.insert(t.name().to_string(), log_rows.len());
             log_rows.push((t.nrows() as f64 + 1.0).ln());
             let ts = stats.table(t.name());
+            let mut cols = HashMap::new();
             for (ci, def) in t.schema.columns.iter().enumerate() {
-                let key = (t.name().to_string(), def.name.clone());
-                col_idx.insert(key.clone(), columns.len());
-                columns.push(key);
+                cols.insert(def.name.clone(), col_range.len());
                 let range = ts
                     .map(|s| (s.columns[ci].min, s.columns[ci].max))
                     .unwrap_or((0.0, 1.0));
                 col_range.push(range);
             }
+            col_idx.push(cols);
         }
-        let mut join_slots = Vec::new();
-        let mut join_idx = HashMap::new();
-        for fk in catalog.foreign_keys() {
-            let key = join_key(&fk.table, &fk.column, &fk.ref_table, &fk.ref_column);
-            if !join_idx.contains_key(&key) {
-                join_idx.insert(key.clone(), join_slots.len());
-                join_slots.push(key);
-            }
-        }
-        Featurizer {
-            tables,
+        let mut featurizer = Featurizer {
             table_idx,
-            columns,
             col_idx,
             col_range,
-            join_slots,
-            join_idx,
+            join_idx: HashMap::new(),
+            num_join_slots: 0,
             log_rows,
+        };
+        // One slot per distinct `t1.c1=t2.c2` edge, numbered in FK order.
+        let mut slot_of_edge: HashMap<String, usize> = HashMap::new();
+        for fk in catalog.foreign_keys() {
+            let (a, b) = (
+                format!("{}.{}", fk.table, fk.column),
+                format!("{}.{}", fk.ref_table, fk.ref_column),
+            );
+            let edge = if a <= b {
+                format!("{a}={b}")
+            } else {
+                format!("{b}={a}")
+            };
+            let next = slot_of_edge.len();
+            let slot = *slot_of_edge.entry(edge).or_insert(next);
+            let ids = (
+                featurizer.col_id(&fk.table, &fk.column),
+                featurizer.col_id(&fk.ref_table, &fk.ref_column),
+            );
+            if let (Some(x), Some(y)) = ids {
+                featurizer.join_idx.insert((x.min(y), x.max(y)), slot);
+            }
         }
+        featurizer.num_join_slots = slot_of_edge.len();
+        featurizer
     }
 
     /// Dimension of the flat feature vector.
     pub fn dim(&self) -> usize {
-        self.tables.len() + self.join_slots.len() + 1 + 2 * self.columns.len()
+        self.num_tables() + self.num_join_slots + 1 + 2 * self.num_columns()
+    }
+
+    /// Number of tables known to the featurizer.
+    pub(crate) fn num_tables(&self) -> usize {
+        self.log_rows.len()
     }
 
     /// Number of columns known to the featurizer.
     pub fn num_columns(&self) -> usize {
-        self.columns.len()
+        self.col_range.len()
+    }
+
+    /// Number of named join slots (the overflow slot comes after them).
+    pub(crate) fn num_join_slots(&self) -> usize {
+        self.num_join_slots
+    }
+
+    /// Global id of `table.column`.
+    fn col_id(&self, table: &str, column: &str) -> Option<usize> {
+        let t = *self.table_idx.get(table)?;
+        self.col_idx[t].get(column).copied()
     }
 
     fn normalize(&self, col: usize, v: f64) -> f64 {
@@ -111,49 +129,63 @@ impl Featurizer {
         }
     }
 
+    /// The predicates of `set` over known columns with their global
+    /// column ids, table by table in position order.
+    fn preds<'q>(
+        &'q self,
+        query: &'q SpjQuery,
+        set: TableSet,
+    ) -> impl Iterator<Item = (usize, &'q lqo_engine::Predicate)> + 'q {
+        set.iter().flat_map(move |pos| {
+            let tname = &query.tables[pos].table;
+            query
+                .predicates_on(pos)
+                .into_iter()
+                .filter_map(move |pred| Some((self.col_id(tname, &pred.col.column)?, pred)))
+        })
+    }
+
     /// Column ranges `[lo, hi]` (normalized) implied by the predicates of
     /// `set`, indexed by global column id. Unconstrained columns are
     /// `(0, 1)`.
     fn ranges(&self, query: &SpjQuery, set: TableSet) -> Vec<(f64, f64)> {
-        let mut ranges: Vec<(f64, f64)> = vec![(0.0, 1.0); self.columns.len()];
-        for pos in set.iter() {
-            let tname = &query.tables[pos].table;
-            for pred in query.predicates_on(pos) {
-                let Some(&col) = self.col_idx.get(&(tname.clone(), pred.col.column.clone())) else {
-                    continue;
-                };
-                let v = match self.pred_value(&pred.value) {
-                    Some(v) => self.normalize(col, v),
-                    None => 0.5,
-                };
-                let r = &mut ranges[col];
-                match pred.op {
-                    CmpOp::Eq => {
-                        r.0 = r.0.max(v);
-                        r.1 = r.1.min(v);
-                    }
-                    CmpOp::Lt | CmpOp::Le => r.1 = r.1.min(v),
-                    CmpOp::Gt | CmpOp::Ge => r.0 = r.0.max(v),
-                    CmpOp::Neq => {}
+        let mut ranges: Vec<(f64, f64)> = vec![(0.0, 1.0); self.num_columns()];
+        for (col, pred) in self.preds(query, set) {
+            let v = match self.pred_value(&pred.value) {
+                Some(v) => self.normalize(col, v),
+                None => 0.5,
+            };
+            let r = &mut ranges[col];
+            match pred.op {
+                CmpOp::Eq => {
+                    r.0 = r.0.max(v);
+                    r.1 = r.1.min(v);
                 }
+                CmpOp::Lt | CmpOp::Le => r.1 = r.1.min(v),
+                CmpOp::Gt | CmpOp::Ge => r.0 = r.0.max(v),
+                CmpOp::Neq => {}
             }
         }
         ranges
     }
 
+    /// Table index of the table at `pos` (`None` when the catalog does
+    /// not hold it).
+    pub(crate) fn table_slot(&self, query: &SpjQuery, pos: usize) -> Option<usize> {
+        self.table_idx
+            .get(query.tables[pos].table.as_str())
+            .copied()
+    }
+
     /// Join-slot index of a join condition within the query (`None` when
     /// it does not correspond to a known FK edge; it then lands in the
     /// overflow slot).
-    fn join_slot(&self, query: &SpjQuery, cond: &lqo_engine::JoinCond) -> Option<usize> {
+    pub(crate) fn join_slot(&self, query: &SpjQuery, cond: &lqo_engine::JoinCond) -> Option<usize> {
         let lp = query.col_pos(&cond.left).ok()?;
         let rp = query.col_pos(&cond.right).ok()?;
-        let key = join_key(
-            &query.tables[lp].table,
-            &cond.left.column,
-            &query.tables[rp].table,
-            &cond.right.column,
-        );
-        self.join_idx.get(&key).copied()
+        let a = self.col_id(&query.tables[lp].table, &cond.left.column)?;
+        let b = self.col_id(&query.tables[rp].table, &cond.right.column)?;
+        self.join_idx.get(&(a.min(b), a.max(b))).copied()
     }
 
     /// The flat feature vector of `(query, set)`:
@@ -161,18 +193,16 @@ impl Featurizer {
     pub fn featurize(&self, query: &SpjQuery, set: TableSet) -> Vec<f64> {
         let mut x = vec![0.0; self.dim()];
         for pos in set.iter() {
-            if let Some(&t) = self.table_idx.get(&query.tables[pos].table) {
+            if let Some(t) = self.table_slot(query, pos) {
                 x[t] += 1.0; // self-joins count twice
             }
         }
-        let joins_off = self.tables.len();
+        let joins_off = self.num_tables();
         for cond in query.joins_within(set) {
-            match self.join_slot(query, cond) {
-                Some(slot) => x[joins_off + slot] += 1.0,
-                None => x[joins_off + self.join_slots.len()] += 1.0,
-            }
+            let slot = self.join_slot(query, cond).unwrap_or(self.num_join_slots);
+            x[joins_off + slot] += 1.0;
         }
-        let cols_off = joins_off + self.join_slots.len() + 1;
+        let cols_off = joins_off + self.num_join_slots + 1;
         for (c, (lo, hi)) in self.ranges(query, set).into_iter().enumerate() {
             x[cols_off + 2 * c] = lo;
             x[cols_off + 2 * c + 1] = hi;
@@ -184,58 +214,66 @@ impl Featurizer {
 
     /// Per-item dimension of the table set.
     pub fn table_item_dim(&self) -> usize {
-        self.tables.len() + 1
+        self.num_tables() + 1
     }
 
     /// Per-item dimension of the join set.
     pub fn join_item_dim(&self) -> usize {
-        self.join_slots.len() + 1
+        self.num_join_slots + 1
     }
 
     /// Per-item dimension of the predicate set.
     pub fn pred_item_dim(&self) -> usize {
-        self.columns.len() + CmpOp::ALL.len() + 1
+        self.num_columns() + CmpOp::ALL.len() + 1
     }
 
-    /// MSCN-style encoding: three sets (tables, joins, predicates).
-    pub fn featurize_sets(&self, query: &SpjQuery, set: TableSet) -> Vec<Vec<Vec<f64>>> {
-        let mut tset = Vec::new();
-        for pos in set.iter() {
-            let mut item = vec![0.0; self.table_item_dim()];
-            if let Some(&t) = self.table_idx.get(&query.tables[pos].table) {
-                item[t] = 1.0;
-                item[self.tables.len()] = self.log_rows[t] / 20.0;
-            }
-            tset.push(item);
+    /// The table-set item of table index `t` (all zeros for a table the
+    /// catalog does not hold).
+    pub(crate) fn table_item(&self, t: Option<usize>) -> Vec<f64> {
+        let mut item = vec![0.0; self.table_item_dim()];
+        if let Some(t) = t {
+            item[t] = 1.0;
+            item[self.num_tables()] = self.log_rows[t] / 20.0;
         }
-        let mut jset = Vec::new();
-        for cond in query.joins_within(set) {
-            let mut item = vec![0.0; self.join_item_dim()];
-            match self.join_slot(query, cond) {
-                Some(slot) => item[slot] = 1.0,
-                None => item[self.join_slots.len()] = 1.0,
-            }
-            jset.push(item);
-        }
-        let mut pset = Vec::new();
-        for pos in set.iter() {
-            let tname = &query.tables[pos].table;
-            for pred in query.predicates_on(pos) {
-                let Some(&col) = self.col_idx.get(&(tname.clone(), pred.col.column.clone())) else {
-                    continue;
-                };
+        item
+    }
+
+    /// The join-set item of join slot `slot` (`None`: overflow).
+    pub(crate) fn join_item(&self, slot: Option<usize>) -> Vec<f64> {
+        let mut item = vec![0.0; self.join_item_dim()];
+        item[slot.unwrap_or(self.num_join_slots)] = 1.0;
+        item
+    }
+
+    /// The predicate-set items of `(query, set)`.
+    pub(crate) fn pred_items(&self, query: &SpjQuery, set: TableSet) -> Vec<Vec<f64>> {
+        self.preds(query, set)
+            .map(|(col, pred)| {
                 let mut item = vec![0.0; self.pred_item_dim()];
                 item[col] = 1.0;
-                item[self.columns.len() + pred.op.index()] = 1.0;
+                item[self.num_columns() + pred.op.index()] = 1.0;
                 let v = self
                     .pred_value(&pred.value)
                     .map(|v| self.normalize(col, v))
                     .unwrap_or(0.5);
-                item[self.columns.len() + CmpOp::ALL.len()] = v;
-                pset.push(item);
-            }
-        }
-        vec![tset, jset, pset]
+                item[self.num_columns() + CmpOp::ALL.len()] = v;
+                item
+            })
+            .collect()
+    }
+
+    /// MSCN-style encoding: three sets (tables, joins, predicates).
+    pub fn featurize_sets(&self, query: &SpjQuery, set: TableSet) -> Vec<Vec<Vec<f64>>> {
+        let tset = set
+            .iter()
+            .map(|pos| self.table_item(self.table_slot(query, pos)))
+            .collect();
+        let jset = query
+            .joins_within(set)
+            .into_iter()
+            .map(|cond| self.join_item(self.join_slot(query, cond)))
+            .collect();
+        vec![tset, jset, self.pred_items(query, set)]
     }
 }
 
@@ -281,8 +319,8 @@ mod tests {
         let q = &queries[3];
         let x = f.featurize(q, q.all_tables());
         // Some (lo, hi) pair must be pinched to a point at 0.5.
-        let cols_off = f.tables.len() + f.join_slots.len() + 1;
-        let pinched = (0..f.columns.len())
+        let cols_off = f.num_tables() + f.num_join_slots() + 1;
+        let pinched = (0..f.num_columns())
             .any(|c| x[cols_off + 2 * c] == 0.5 && x[cols_off + 2 * c + 1] == 0.5);
         assert!(pinched);
     }
@@ -293,10 +331,10 @@ mod tests {
         let f = Featurizer::new(&ctx.catalog, &ctx.stats);
         let q = &queries[0];
         let x = f.featurize(q, q.all_tables());
-        let joins_off = f.tables.len();
-        let overflow = x[joins_off + f.join_slots.len()];
+        let joins_off = f.num_tables();
+        let overflow = x[joins_off + f.num_join_slots()];
         assert_eq!(overflow, 0.0);
-        let named: f64 = x[joins_off..joins_off + f.join_slots.len()].iter().sum();
+        let named: f64 = x[joins_off..joins_off + f.num_join_slots()].iter().sum();
         assert_eq!(named, 1.0);
     }
 }

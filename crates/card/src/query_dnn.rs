@@ -108,17 +108,72 @@ fn fit_mscn(
     (feat, model)
 }
 
-/// Multi-set convolutional network \[23\].
-pub struct MscnEstimator {
+/// A fitted MSCN with the encodings of its finite item domains — every
+/// table of the schema plus "unknown", every join slot plus overflow —
+/// computed once at fit time. Estimating runs the encoder on predicate
+/// items only.
+struct FittedMscn {
     feat: Featurizer,
     model: Mscn,
+    /// Table-set encoding per table index; the last is the unknown table.
+    table_codes: Vec<Vec<f64>>,
+    /// Join-set encoding per join slot; the last is the overflow slot.
+    join_codes: Vec<Vec<f64>>,
 }
+
+impl FittedMscn {
+    fn fit(ctx: &FitContext, workload: &[LabeledSubquery], mask_prob: f64, seed: u64) -> Self {
+        let (feat, model) = fit_mscn(ctx, workload, mask_prob, seed);
+        let table_codes = (0..feat.num_tables())
+            .map(Some)
+            .chain([None])
+            .map(|t| model.encode(0, &feat.table_item(t)))
+            .collect();
+        let join_codes = (0..feat.num_join_slots())
+            .map(Some)
+            .chain([None])
+            .map(|slot| model.encode(1, &feat.join_item(slot)))
+            .collect();
+        FittedMscn {
+            feat,
+            model,
+            table_codes,
+            join_codes,
+        }
+    }
+
+    /// `decode(predict(featurize_sets(query, set)))`, floored at one,
+    /// with table and join items looked up instead of encoded.
+    fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
+        let unknown = self.table_codes.len() - 1;
+        let overflow = self.join_codes.len() - 1;
+        let tables: Vec<&[f64]> = set
+            .iter()
+            .map(|pos| &self.table_codes[self.feat.table_slot(query, pos).unwrap_or(unknown)][..])
+            .collect();
+        let joins: Vec<&[f64]> = query
+            .joins_within(set)
+            .into_iter()
+            .map(|cond| &self.join_codes[self.feat.join_slot(query, cond).unwrap_or(overflow)][..])
+            .collect();
+        let pred_codes: Vec<Vec<f64>> = self
+            .feat
+            .pred_items(query, set)
+            .iter()
+            .map(|item| self.model.encode(2, item))
+            .collect();
+        let preds = pred_codes.iter().map(Vec::as_slice).collect();
+        log_label::decode(self.model.predict_encoded(&[tables, joins, preds])).max(1.0)
+    }
+}
+
+/// Multi-set convolutional network \[23\].
+pub struct MscnEstimator(FittedMscn);
 
 impl MscnEstimator {
     /// Fit on a labeled workload.
     pub fn fit(ctx: &FitContext, workload: &[LabeledSubquery]) -> MscnEstimator {
-        let (feat, model) = fit_mscn(ctx, workload, 0.0, 43);
-        MscnEstimator { feat, model }
+        MscnEstimator(FittedMscn::fit(ctx, workload, 0.0, 43))
     }
 }
 
@@ -133,24 +188,20 @@ impl CardEstimator for MscnEstimator {
         "Multi-Set Convolutional Network"
     }
     fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        log_label::decode(self.model.predict(&self.feat.featurize_sets(query, set))).max(1.0)
+        self.0.estimate(query, set)
     }
     fn model_size(&self) -> usize {
-        self.model.num_params()
+        self.0.model.num_params()
     }
 }
 
 /// MSCN trained with query masking for robustness to workload drift \[45\].
-pub struct RobustMscnEstimator {
-    feat: Featurizer,
-    model: Mscn,
-}
+pub struct RobustMscnEstimator(FittedMscn);
 
 impl RobustMscnEstimator {
     /// Fit on a labeled workload with 25% predicate masking.
     pub fn fit(ctx: &FitContext, workload: &[LabeledSubquery]) -> RobustMscnEstimator {
-        let (feat, model) = fit_mscn(ctx, workload, 0.25, 47);
-        RobustMscnEstimator { feat, model }
+        RobustMscnEstimator(FittedMscn::fit(ctx, workload, 0.25, 47))
     }
 }
 
@@ -165,10 +216,10 @@ impl CardEstimator for RobustMscnEstimator {
         "Query Masking"
     }
     fn estimate(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        log_label::decode(self.model.predict(&self.feat.featurize_sets(query, set))).max(1.0)
+        self.0.estimate(query, set)
     }
     fn model_size(&self) -> usize {
-        self.model.num_params()
+        self.0.model.num_params()
     }
 }
 
@@ -408,6 +459,43 @@ mod tests {
         let med = median_q_error(&est, &labeled);
         assert!(med < 8.0, "mscn median q-error {med}");
         assert!(est.model_size() > 1000);
+    }
+
+    #[test]
+    fn mscn_estimates_equal_the_set_featurized_reference_bitwise() {
+        let (ctx, oracle, queries) = fixture();
+        let labeled = label_workload(&oracle, &queries, 4).unwrap();
+        let mut probes: Vec<(SpjQuery, TableSet)> = labeled
+            .iter()
+            .map(|l| (SpjQuery::clone(&l.query), l.set))
+            .collect();
+        // Items outside the fitted domains too: no predicates, a join off
+        // every FK edge (overflow slot) and a table the catalog lacks.
+        let mut odd = vec![lqo_engine::query::parse_query(
+            "SELECT COUNT(*) FROM users u, comments c, nowhere n \
+             WHERE u.id = c.post_id AND u.id = n.id AND u.views < 500",
+        )
+        .unwrap()];
+        odd.extend(queries.iter().cloned().map(|mut q| {
+            q.predicates.clear();
+            q
+        }));
+        for q in odd {
+            for set in lqo_engine::query::JoinGraph::new(&q).connected_subsets(4) {
+                probes.push((q.clone(), set));
+            }
+        }
+        for fitted in [
+            MscnEstimator::fit(&ctx, &labeled).0,
+            RobustMscnEstimator::fit(&ctx, &labeled).0,
+        ] {
+            for (q, set) in &probes {
+                let sets = fitted.feat.featurize_sets(q, *set);
+                let want = log_label::decode(fitted.model.predict(&sets)).max(1.0);
+                let got = fitted.estimate(q, *set);
+                assert_eq!(got.to_bits(), want.to_bits(), "{q} {set:?}");
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::catalog::Catalog;
 use crate::error::Result;
 use crate::exec::executor::{ExecConfig, Executor};
 use crate::plan::physical::{JoinAlgo, PhysNode};
+use crate::query::canonical::CanonicalForm;
 use crate::query::join_graph::JoinGraph;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
@@ -97,13 +98,13 @@ impl TrueCardOracle {
             greedy_left_deep(&graph, &sizes)
         };
         let result = executor.execute(&sub, &plan)?;
-        let mut cache = self.cache.lock();
         // Opportunistically cache all intermediate true cardinalities: they
-        // are exact cards of induced sub-queries of `sub`.
+        // are exact cards of induced sub-queries of `sub`. Their sets are
+        // in `sub` coordinates, so their keys are cut from `sub`'s form.
+        let form = CanonicalForm::of(&sub, sub.all_tables());
+        let mut cache = self.cache.lock();
         for (inner_set, card) in &result.intermediates {
-            // `inner_set` is in `sub` coordinates; map back is unnecessary
-            // because canonical keys are computed on `sub` directly.
-            cache.insert(sub.canonical_key(*inner_set), *card);
+            cache.insert(form.key(*inner_set), *card);
         }
         cache.insert(key, result.count);
         Ok(result.count)

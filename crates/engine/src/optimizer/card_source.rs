@@ -9,7 +9,7 @@ use parking_lot::Mutex;
 
 use crate::catalog::Catalog;
 use crate::exec::oracle::TrueCardOracle;
-use crate::query::join_graph::JoinGraph;
+use crate::query::canonical::CanonicalForm;
 use crate::query::spj::SpjQuery;
 use crate::query::table_set::TableSet;
 use crate::stats::table_stats::CatalogStats;
@@ -155,8 +155,13 @@ impl CardSource for TraditionalCardSource {
 /// This is the batch-injection interface PilotScope's cardinality driver
 /// uses, and the hook through which learned estimators are evaluated
 /// end-to-end (E3).
+///
+/// A session injects and then looks up sub-queries of one query, so the
+/// source keeps that query's [`CanonicalForm`] and cuts every key from
+/// it; a different query replaces the form.
 pub struct InjectedCardSource {
     overrides: Mutex<HashMap<String, f64>>,
+    form: Mutex<Option<(SpjQuery, CanonicalForm)>>,
     fallback: Arc<dyn CardSource>,
 }
 
@@ -165,35 +170,45 @@ impl InjectedCardSource {
     pub fn new(fallback: Arc<dyn CardSource>) -> InjectedCardSource {
         InjectedCardSource {
             overrides: Mutex::new(HashMap::new()),
+            form: Mutex::new(None),
             fallback,
         }
     }
 
-    /// Inject an estimate for the sub-query induced by `set`. Non-finite
-    /// injections (NaN/±∞, e.g. from a misbehaving learned estimator) are
-    /// dropped rather than stored — the fallback source answers instead,
-    /// so one bad push cannot poison every plan for the sub-query.
-    pub fn inject(&self, query: &SpjQuery, set: TableSet, card: f64) {
-        if !card.is_finite() {
-            return;
+    /// Run `f` on the canonical form of `query`, building it only when
+    /// the query differs from the last one seen.
+    fn with_form<T>(&self, query: &SpjQuery, f: impl FnOnce(&CanonicalForm) -> T) -> T {
+        let mut form = self.form.lock();
+        match &*form {
+            Some((q, cf)) if q == query => f(cf),
+            _ => {
+                let cf = CanonicalForm::of(query, query.all_tables());
+                let out = f(&cf);
+                *form = Some((query.clone(), cf));
+                out
+            }
         }
-        self.overrides
-            .lock()
-            .insert(query.canonical_key(set), card.max(1.0));
     }
 
-    /// Inject estimates for every connected sub-query of `query` from a
-    /// closure (batch interface).
-    pub fn inject_all(
-        &self,
-        query: &SpjQuery,
-        max_size: usize,
-        mut estimate: impl FnMut(&SpjQuery, TableSet) -> f64,
-    ) {
-        let graph = JoinGraph::new(query);
-        for set in graph.connected_subsets(max_size) {
-            self.inject(query, set, estimate(query, set));
-        }
+    /// Inject estimates for sub-queries of `query`, one `(set, card)` per
+    /// sub-query. Non-finite estimates (NaN/±∞, e.g. from a misbehaving
+    /// learned estimator) are dropped rather than stored — the fallback
+    /// source answers instead, so one bad push cannot poison every plan
+    /// for the sub-query.
+    pub fn inject_batch(&self, query: &SpjQuery, cards: &[(TableSet, f64)]) {
+        let entries: Vec<(String, f64)> = self.with_form(query, |f| {
+            cards
+                .iter()
+                .filter(|(_, card)| card.is_finite())
+                .map(|&(set, card)| (f.key(set), card.max(1.0)))
+                .collect()
+        });
+        self.overrides.lock().extend(entries);
+    }
+
+    /// Inject one estimate: [`InjectedCardSource::inject_batch`] of one.
+    pub fn inject(&self, query: &SpjQuery, set: TableSet, card: f64) {
+        self.inject_batch(query, &[(set, card)]);
     }
 
     /// Number of injected entries.
@@ -214,7 +229,10 @@ impl InjectedCardSource {
 
 impl CardSource for InjectedCardSource {
     fn cardinality(&self, query: &SpjQuery, set: TableSet) -> f64 {
-        let key = query.canonical_key(set);
+        if self.is_empty() {
+            return self.fallback.cardinality(query, set);
+        }
+        let key = self.with_form(query, |f| f.key(set));
         if let Some(&c) = self.overrides.lock().get(&key) {
             return c;
         }
@@ -329,6 +347,7 @@ impl CardSource for ProfCardSource<'_> {
 mod tests {
     use super::*;
     use crate::query::expr::{CmpOp, ColRef, JoinCond, Predicate, TableRef};
+    use crate::query::join_graph::JoinGraph;
     use crate::stats::table_stats::StatsConfig;
     use crate::table::TableBuilder;
     use crate::types::Value;
@@ -466,14 +485,26 @@ mod tests {
     }
 
     #[test]
-    fn inject_all_covers_connected_subsets() {
+    fn batch_injection_keys_like_single_injections() {
         let (c, stats, q) = setup();
         let fallback: Arc<dyn CardSource> = Arc::new(TraditionalCardSource::new(c, stats));
-        let injected = InjectedCardSource::new(fallback);
-        injected.inject_all(&q, 4, |_, set| set.len() as f64 * 7.0);
+        let batch = InjectedCardSource::new(fallback.clone());
+        let single = InjectedCardSource::new(fallback);
+        let cards: Vec<(TableSet, f64)> = JoinGraph::new(&q)
+            .connected_subsets(4)
+            .into_iter()
+            .map(|set| (set, set.len() as f64 * 7.0))
+            .collect();
+        batch.inject_batch(&q, &cards);
         // 2 singletons + 1 pair = 3 connected subsets.
-        assert_eq!(injected.len(), 3);
-        assert_eq!(injected.cardinality(&q, q.all_tables()), 14.0);
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.cardinality(&q, q.all_tables()), 14.0);
+        for &(set, card) in &cards {
+            single.inject(&q, set, card);
+            let key = q.canonical_key(set);
+            assert_eq!(batch.overrides.lock().get(&key), Some(&card));
+        }
+        assert_eq!(*batch.overrides.lock(), *single.overrides.lock());
     }
 
     #[test]

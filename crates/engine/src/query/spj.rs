@@ -9,6 +9,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{EngineError, Result};
+use crate::query::canonical::CanonicalForm;
 use crate::query::expr::{ColRef, JoinCond, Predicate, TableRef};
 use crate::query::table_set::TableSet;
 use crate::types::DataType;
@@ -120,41 +121,13 @@ impl SpjQuery {
     }
 
     /// A canonical string uniquely identifying the semantics of the
-    /// sub-query induced by `set`. Used as cache key by the true-cardinality
-    /// oracle so repeated sub-plans across the workload are executed once.
+    /// sub-query induced by `set`: its sorted tables, join conditions and
+    /// predicates. Order-insensitive in the `FROM` list. The plan cache,
+    /// the inference memo, the true-cardinality oracle and injected
+    /// estimates all key on these bytes. Callers keying many subsets of
+    /// one query build one [`CanonicalForm`] instead.
     pub fn canonical_key(&self, set: TableSet) -> String {
-        let mut tables: Vec<String> = set
-            .iter()
-            .map(|p| format!("{} {}", self.tables[p].table, self.tables[p].alias))
-            .collect();
-        tables.sort();
-        let mut preds: Vec<String> = set
-            .iter()
-            .flat_map(|p| self.predicates_on(p))
-            .map(|p| p.to_string())
-            .collect();
-        preds.sort();
-        let mut joins: Vec<String> = self
-            .joins_within(set)
-            .iter()
-            .map(|j| {
-                // Order the two sides deterministically.
-                let a = j.left.to_string();
-                let b = j.right.to_string();
-                if a <= b {
-                    format!("{a}={b}")
-                } else {
-                    format!("{b}={a}")
-                }
-            })
-            .collect();
-        joins.sort();
-        format!(
-            "F[{}]J[{}]P[{}]",
-            tables.join(","),
-            joins.join(","),
-            preds.join(",")
-        )
+        CanonicalForm::of(self, set).key(set)
     }
 
     /// Validate the query against a catalog: every table, alias and column

@@ -47,8 +47,19 @@ impl Mcv {
 
     fn from_counts(counts: impl Iterator<Item = (Value, usize)>, total: usize, k: usize) -> Mcv {
         let mut pairs: Vec<(Value, usize)> = counts.collect();
-        pairs.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
+        // Most frequent first, ties broken by value: the values are
+        // distinct, so the order is total and the kept top `k` does not
+        // depend on hash-map iteration order. Only the kept entries are
+        // sorted.
+        let order = |(va, ca): &(Value, usize), (vb, cb): &(Value, usize)| {
+            cb.cmp(ca)
+                .then_with(|| va.compare(vb).unwrap_or(std::cmp::Ordering::Equal))
+        };
+        if k > 0 && k < pairs.len() {
+            pairs.select_nth_unstable_by(k - 1, order);
+        }
         pairs.truncate(k);
+        pairs.sort_by(order);
         let total = total.max(1) as f64;
         let entries: Vec<(Value, f64)> = pairs
             .into_iter()
@@ -98,6 +109,18 @@ mod tests {
         assert!((mcv.entries()[0].1 - 0.6).abs() < 1e-12);
         assert!((mcv.mass() - 0.9).abs() < 1e-12);
         assert_eq!(mcv.frequency(&Value::Int(2)), None);
+    }
+
+    #[test]
+    fn tied_counts_keep_the_smallest_values() {
+        // Every value occurs twice: the list keeps the two smallest.
+        let vals: Vec<i64> = (0..50).rev().flat_map(|v| [v, v]).collect();
+        let mcv = Mcv::build_i64(&vals, 2);
+        let kept: Vec<&Value> = mcv.entries().iter().map(|(v, _)| v).collect();
+        assert_eq!(kept, [&Value::Int(0), &Value::Int(1)]);
+        let dict: Vec<String> = ["c", "a", "b"].iter().map(|s| s.to_string()).collect();
+        let mcv = Mcv::build_text(&dict, &[0, 1, 2], 1);
+        assert_eq!(mcv.entries()[0].0, Value::Text("a".into()));
     }
 
     #[test]

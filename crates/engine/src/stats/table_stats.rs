@@ -38,7 +38,7 @@ impl Default for StatsConfig {
 }
 
 /// Statistics of one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Logical type.
     pub dtype: DataType,
@@ -120,7 +120,7 @@ impl ColumnStats {
 }
 
 /// Statistics of one table: per-column stats plus a row-id sample.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     /// Row count at collection time.
     pub nrows: usize,
@@ -259,6 +259,18 @@ mod tests {
         // 4242 never occurs; tail estimate must be small but positive.
         let sel = grp.selectivity(CmpOp::Eq, &Value::Int(4242));
         assert!(sel > 0.0 && sel < 0.2);
+    }
+
+    #[test]
+    fn catalog_stats_built_twice_are_identical() {
+        let catalog = crate::datagen::stats_like(200, 7).unwrap();
+        let a = CatalogStats::build_default(&catalog);
+        for _ in 0..3 {
+            let b = CatalogStats::build_default(&catalog);
+            for t in catalog.tables() {
+                assert_eq!(a.table(t.name()), b.table(t.name()), "{}", t.name());
+            }
+        }
     }
 
     #[test]

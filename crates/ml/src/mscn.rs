@@ -83,24 +83,52 @@ impl Mscn {
 
     /// Pooled encoding of all sets, concatenated.
     fn pool(&self, sets: &[Vec<Vec<f64>>]) -> Vec<f64> {
+        let codes: Vec<Vec<Vec<f64>>> = sets
+            .iter()
+            .enumerate()
+            .map(|(k, set)| set.iter().map(|item| self.encode(k, item)).collect())
+            .collect();
+        let codes: Vec<Vec<&[f64]>> = codes
+            .iter()
+            .map(|set| set.iter().map(Vec::as_slice).collect())
+            .collect();
+        self.pool_encoded(&codes)
+    }
+
+    /// Average of each set's item encodings (zeros for an empty set),
+    /// summed in item order, concatenated.
+    fn pool_encoded(&self, sets: &[Vec<&[f64]>]) -> Vec<f64> {
         assert_eq!(sets.len(), self.encoders.len());
         let mut pooled = Vec::with_capacity(self.encoders.len() * self.hidden);
-        for (enc, set) in self.encoders.iter().zip(sets) {
+        for codes in sets {
             let mut avg = vec![0.0; self.hidden];
-            if !set.is_empty() {
-                for item in set {
-                    let h = enc.predict(item);
-                    for (a, &v) in avg.iter_mut().zip(&h) {
+            if !codes.is_empty() {
+                for h in codes {
+                    for (a, &v) in avg.iter_mut().zip(*h) {
                         *a += v;
                     }
                 }
                 for a in &mut avg {
-                    *a /= set.len() as f64;
+                    *a /= codes.len() as f64;
                 }
             }
             pooled.extend(avg);
         }
         pooled
+    }
+
+    /// The encoding of one item of set type `set_type` — what
+    /// [`Mscn::predict`] pools. Items from a finite domain can be encoded
+    /// once and passed to [`Mscn::predict_encoded`].
+    pub fn encode(&self, set_type: usize, item: &[f64]) -> Vec<f64> {
+        self.encoders[set_type].predict(item)
+    }
+
+    /// Predicted scalar from item encodings ([`Mscn::encode`]), one list
+    /// per set type. Pools in the same order as [`Mscn::predict`], so it
+    /// returns the same bits for the same items.
+    pub fn predict_encoded(&self, sets: &[Vec<&[f64]>]) -> f64 {
+        self.head.predict_scalar(&self.pool_encoded(sets))
     }
 
     /// Predicted scalar for one sample (a slice of sets, one per type).
@@ -191,6 +219,27 @@ mod tests {
         let a = vec![vec![vec![0.1, 0.9], vec![0.7, 0.3], vec![0.5, 0.5]]];
         let b = vec![vec![vec![0.5, 0.5], vec![0.1, 0.9], vec![0.7, 0.3]]];
         assert!((net.predict(&a) - net.predict(&b)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn predict_encoded_matches_predict_bitwise() {
+        let net = Mscn::new(MscnConfig::new(vec![2, 1]));
+        for i in 0..20 {
+            let (sets, _) = sample(i);
+            let codes: Vec<Vec<Vec<f64>>> = sets
+                .iter()
+                .enumerate()
+                .map(|(k, set)| set.iter().map(|item| net.encode(k, item)).collect())
+                .collect();
+            let refs: Vec<Vec<&[f64]>> = codes
+                .iter()
+                .map(|set| set.iter().map(Vec::as_slice).collect())
+                .collect();
+            assert_eq!(
+                net.predict_encoded(&refs).to_bits(),
+                net.predict(&sets).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -55,19 +55,20 @@ impl Driver for CardDriver {
         query: &SpjQuery,
     ) -> Result<DriverDecision> {
         interactor.push(session, PushAction::ClearInjections)?;
-        let graph = JoinGraph::new(query);
-        for set in graph.connected_subsets(self.max_subquery) {
-            let card = self.estimator.estimate(query, set);
-            interactor.push(
-                session,
-                PushAction::InjectCardinality {
-                    query: query.clone(),
-                    set,
-                    card,
-                },
-            )?;
-            self.injected += 1;
-        }
+        let cards: Vec<_> = JoinGraph::new(query)
+            .connected_subsets(self.max_subquery)
+            .into_iter()
+            .map(|set| (set, self.estimator.estimate(query, set)))
+            .collect();
+        let n = cards.len();
+        interactor.push(
+            session,
+            PushAction::InjectCardinalities {
+                query: query.clone(),
+                cards,
+            },
+        )?;
+        self.injected += n;
         Ok(DriverDecision::Delegate)
     }
 }

@@ -208,8 +208,8 @@ impl DbInteractor for EngineInteractor {
 
     fn push(&self, session: SessionId, action: PushAction) -> Result<()> {
         self.with_session(session, |s| match action {
-            PushAction::InjectCardinality { query, set, card } => {
-                s.injected.inject(&query, set, card);
+            PushAction::InjectCardinalities { query, cards } => {
+                s.injected.inject_batch(&query, &cards);
             }
             PushAction::SetHints(h) => s.hints = h,
             PushAction::SetCardScaling(f) => s.scaling = f,
@@ -345,10 +345,9 @@ mod tests {
         assert_ne!(s1, s2);
         ix.push(
             s1,
-            PushAction::InjectCardinality {
+            PushAction::InjectCardinalities {
                 query: q.clone(),
-                set: q.all_tables(),
-                card: 99999.0,
+                cards: vec![(q.all_tables(), 99999.0)],
             },
         )
         .unwrap();
@@ -488,10 +487,9 @@ mod tests {
         // change the answer.
         ix.push(
             s,
-            PushAction::InjectCardinality {
+            PushAction::InjectCardinalities {
                 query: q.clone(),
-                set: TableSet::singleton(0),
-                card: 1.0,
+                cards: vec![(TableSet::singleton(0), 1.0)],
             },
         )
         .unwrap();
@@ -580,6 +578,50 @@ mod tests {
     }
 
     #[test]
+    fn cached_plan_is_not_served_to_a_rotated_from_list() {
+        let (ix, _) = setup();
+        let cache = Arc::new(LqoCache::default());
+        ix.attach_cache(&cache);
+        let s = ix.open_session();
+        let where_ = "WHERE ph.post_id = p.id AND p.owner_user_id = u.id AND u.id < 40";
+        let original = parse_query(&format!(
+            "SELECT COUNT(*) FROM post_history ph, posts p, users u {where_}"
+        ))
+        .unwrap();
+        let PullReply::Execution { count: want, .. } =
+            ix.pull(s, PullRequest::Execute(original.clone())).unwrap()
+        else {
+            panic!()
+        };
+        // Every rotation is the same logical query with its tables at
+        // other positions: it must be planned for its own positions.
+        for from in [
+            "posts p, users u, post_history ph",
+            "users u, post_history ph, posts p",
+        ] {
+            let twin = parse_query(&format!("SELECT COUNT(*) FROM {from} {where_}")).unwrap();
+            assert_eq!(
+                twin.canonical_key(twin.all_tables()),
+                original.canonical_key(original.all_tables())
+            );
+            let PullReply::Execution { count, .. } =
+                ix.pull(s, PullRequest::Execute(twin)).unwrap()
+            else {
+                panic!()
+            };
+            assert_eq!(count, want, "{from}");
+        }
+        assert_eq!(cache.stats().plan_misses, 3);
+        let PullReply::Execution { count, .. } =
+            ix.pull(s, PullRequest::Execute(original)).unwrap()
+        else {
+            panic!()
+        };
+        assert_eq!(count, want);
+        assert_eq!(cache.stats().plan_hits, 1);
+    }
+
+    #[test]
     fn steered_sessions_bypass_plan_cache_but_stay_correct() {
         let (ix, q) = setup();
         let cache = Arc::new(LqoCache::default());
@@ -593,10 +635,9 @@ mod tests {
         };
         ix.push(
             s,
-            PushAction::InjectCardinality {
+            PushAction::InjectCardinalities {
                 query: q.clone(),
-                set: q.all_tables(),
-                card: 99999.0,
+                cards: vec![(q.all_tables(), 99999.0)],
             },
         )
         .unwrap();

@@ -17,15 +17,14 @@ pub struct SessionId(pub u64);
 /// Actions a driver enforces on the database.
 #[derive(Debug, Clone)]
 pub enum PushAction {
-    /// Replace the optimizer's cardinality for one sub-query (the batch
-    /// injection interface of the learned-cardinality driver).
-    InjectCardinality {
+    /// Replace the optimizer's cardinalities for sub-queries of one
+    /// query (the batch injection interface of the learned-cardinality
+    /// driver): a session's estimates arrive in one push.
+    InjectCardinalities {
         /// The enclosing query.
         query: SpjQuery,
-        /// Sub-query subset.
-        set: TableSet,
-        /// Injected estimate.
-        card: f64,
+        /// Sub-query subsets and their injected estimates.
+        cards: Vec<(TableSet, f64)>,
     },
     /// Constrain the optimizer with a hint set (Bao steering).
     SetHints(HintSet),

@@ -8,7 +8,7 @@
 //! and without touching any query's results — the step sequence *within*
 //! a query is fixed, only the interleaving *across* queries moves.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
 use lqo_engine::{JoinAlgo, PhysNode, Relation, SpjQuery, WorkMeter};
@@ -106,9 +106,12 @@ pub(crate) struct TenantSched {
 /// Scheduler state behind the server's mutex.
 pub(crate) struct SchedState {
     pub tenants: BTreeMap<String, TenantSched>,
-    /// Parked tasks by ticket index (`None` while running or finished).
-    pub tasks: Vec<Option<Task>>,
-    /// Completed outcomes by ticket index.
+    /// Parked tasks by ticket index. A task is here only between steps:
+    /// [`SchedState::pick`] takes it out and a finished one never comes
+    /// back, so the map holds in-flight queries only.
+    pub tasks: HashMap<usize, Task>,
+    /// Outcomes by ticket index (`None` until the query completes); kept
+    /// so a ticket can be redeemed more than once.
     pub outcomes: Vec<Option<QueryOutcome>>,
     /// Admitted but not yet completed (the bounded admission queue).
     pub pending: usize,
@@ -122,7 +125,7 @@ impl SchedState {
     pub fn new(held: bool) -> SchedState {
         SchedState {
             tenants: BTreeMap::new(),
-            tasks: Vec::new(),
+            tasks: HashMap::new(),
             outcomes: Vec::new(),
             pending: 0,
             completed: 0,
@@ -146,7 +149,7 @@ impl SchedState {
             })
             .map(|(name, _)| name.clone())?;
         let ticket = self.tenants.get_mut(&tenant)?.ready.pop_front()?;
-        let task = self.tasks[ticket].take()?;
+        let task = self.tasks.remove(&ticket)?;
         Some((ticket, task))
     }
 }

@@ -124,13 +124,12 @@ impl Shared {
             if (req.scaling - 1.0).abs() > 1e-12 {
                 ia.push(sid, PushAction::SetCardScaling(req.scaling))?;
             }
-            for (set, card) in &req.injections {
+            if !req.injections.is_empty() {
                 ia.push(
                     sid,
-                    PushAction::InjectCardinality {
+                    PushAction::InjectCardinalities {
                         query: req.query.clone(),
-                        set: *set,
-                        card: *card,
+                        cards: req.injections.clone(),
                     },
                 )?;
             }
@@ -284,7 +283,7 @@ fn worker_loop(shared: Arc<Shared>) {
                 task.charged = consumed_now;
                 let seq = task.seq;
                 let tenant = task.tenant.clone();
-                state.tasks[ticket] = Some(task);
+                state.tasks.insert(ticket, task);
                 if let Some(t) = state.tenants.get_mut(&tenant) {
                     t.ready.push_back(seq);
                 }
@@ -453,7 +452,7 @@ impl LqoServer {
             });
         }
         let _ = tenant_sched.quota.add(cost);
-        let seq = state.tasks.len();
+        let seq = state.outcomes.len();
         let qid = shared
             .prof()
             .begin_query_id(&format!("{}#{seq}", req.tenant));
@@ -474,7 +473,7 @@ impl LqoServer {
             charged: 0.0,
             admitted_at: Instant::now(),
         };
-        state.tasks.push(Some(task));
+        state.tasks.insert(seq, task);
         state.outcomes.push(None);
         state.pending += 1;
         obs.gauge("lqo.serve.queue_depth", state.pending as f64);
@@ -560,5 +559,41 @@ impl Drop for LqoServer {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lqo_engine::datagen::stats_like;
+    use lqo_engine::query::parse_query;
+
+    #[test]
+    fn finished_queries_leave_no_task_and_stay_redeemable() {
+        let catalog = Arc::new(stats_like(60, 7).unwrap());
+        let server = LqoServer::new(
+            Arc::new(EngineInteractor::new(catalog)),
+            ServeConfig::default(),
+        );
+        let query = parse_query(
+            "SELECT COUNT(*) FROM users u, posts p \
+             WHERE u.id = p.owner_user_id AND u.reputation > 10",
+        )
+        .unwrap();
+        let tickets: Vec<Ticket> = (0..20)
+            .map(|i| {
+                let req = SessionRequest::new(format!("t{}", i % 3), query.clone());
+                server.submit(req).unwrap()
+            })
+            .collect();
+        let first: Vec<QueryOutcome> = tickets.iter().map(|&t| server.wait(t)).collect();
+        assert!(server.shared.state.lock().tasks.is_empty());
+        for (&t, o) in tickets.iter().zip(&first) {
+            let again = server.wait(t);
+            assert_eq!(again.seq, o.seq);
+            assert_eq!(again.result, o.result);
+        }
+        let seqs: Vec<usize> = first.iter().map(|o| o.seq).collect();
+        assert_eq!(seqs, (0..20).collect::<Vec<_>>());
     }
 }

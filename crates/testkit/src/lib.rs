@@ -16,6 +16,8 @@
 //!
 //! Pieces:
 //!
+//! * [`canonical`] — the from-scratch reference for the engine's
+//!   canonical sub-query keys.
 //! * [`differential`] — run a (query, plan) through serial, parallel,
 //!   batched, and batched-parallel modes at multiple thread counts,
 //!   morsel sizes, and batch sizes and compare everything
@@ -35,11 +37,13 @@
 
 #![warn(missing_docs)]
 
+pub mod canonical;
 pub mod differential;
 pub mod golden;
 pub mod reopt_diff;
 pub mod sqlgen;
 
+pub use canonical::reference_canonical_key;
 pub use differential::{
     batch_sizes_from_env, diff_plan, diff_workload, thread_counts_from_env, DiffConfig, DiffOutcome,
 };
